@@ -1,6 +1,6 @@
 //! Missing-value imputation strategies.
 
-use rdi_table::{GroupSpec, Table, Value};
+use rdi_table::{GroupSpec, Table, TableError, Value};
 
 /// How to fill (or drop) missing cells of a numeric column.
 #[derive(Debug, Clone)]
@@ -15,12 +15,18 @@ pub enum ImputeStrategy {
     /// given spec); falls back to the global mean for groups with no
     /// observed values.
     GroupMean(GroupSpec),
-    /// Hot-deck: copy the value of the nearest row (Euclidean distance on
-    /// the given complete numeric columns).
+    /// Hot-deck: fill a missing cell with the mean target value of its
+    /// `k` nearest donors, by Euclidean distance on the feature columns.
+    /// Donors are the rows with a numeric target and no null feature;
+    /// among donors at equal distance the earlier row wins. A missing
+    /// cell whose own features are incomplete, or a table with no
+    /// donors, is left null.
     HotDeckKnn {
-        /// Complete numeric columns used as the distance space.
+        /// Numeric (`Int`, `Float` or `Bool`) columns used as the
+        /// distance space.
         features: Vec<String>,
-        /// Number of neighbors averaged.
+        /// Number of neighbors averaged (all donors when fewer); must be
+        /// at least 1.
         k: usize,
     },
     /// Simple-regression imputation: fit ordinary least squares
@@ -34,21 +40,21 @@ pub enum ImputeStrategy {
 }
 
 /// Impute `column` of `table` under a strategy; returns the new table.
+///
+/// Fails on an unknown column, on a fill value the column's type
+/// rejects, and on `HotDeckKnn` with `k = 0`.
 pub fn impute(table: &Table, column: &str, strategy: &ImputeStrategy) -> rdi_table::Result<Table> {
-    match strategy {
+    let (out, filled) = match strategy {
         ImputeStrategy::DropRows => {
-            table.schema().index_of(column)?; // validate
-            let mut keep = Vec::with_capacity(table.num_rows());
-            for i in 0..table.num_rows() {
-                if !table.value(i, column)?.is_null() {
-                    keep.push(i);
-                }
-            }
-            Ok(table.take(&keep))
+            let target = table.column(column)?;
+            let keep: Vec<usize> = (0..table.num_rows())
+                .filter(|&i| !target.is_null(i))
+                .collect();
+            (table.take(&keep), 0)
         }
         ImputeStrategy::Mean => {
             let mean = table.mean(column)?.unwrap_or(0.0);
-            fill_nulls(table, column, |_i| Value::Float(mean))
+            fill_nulls(table, column, |_i| Ok(Some(mean)))?
         }
         ImputeStrategy::GroupMean(spec) => {
             let global = table.mean(column)?.unwrap_or(0.0);
@@ -59,68 +65,21 @@ pub fn impute(table: &Table, column: &str, strategy: &ImputeStrategy) -> rdi_tab
                 .into_iter()
                 .map(|(k, s)| (k, if s.non_null > 0 { s.mean } else { global }))
                 .collect();
-            let mut out = table.clone();
-            for i in 0..table.num_rows() {
-                if table.value(i, column)?.is_null() {
-                    let key = spec.key_of(table, i)?;
-                    let m = means.get(&key).copied().unwrap_or(global);
-                    out.set_value(i, column, Value::Float(m))?;
-                }
-            }
-            Ok(out)
+            fill_nulls(table, column, |i| {
+                let key = spec.key_of(table, i)?;
+                Ok(Some(means.get(&key).copied().unwrap_or(global)))
+            })?
         }
-        ImputeStrategy::HotDeckKnn { features, k } => {
-            assert!(*k >= 1);
-            // collect donor rows (non-null target, complete features)
-            let feat_cols: Vec<&rdi_table::Column> = features
-                .iter()
-                .map(|f| table.column(f))
-                .collect::<rdi_table::Result<_>>()?;
-            let coords = |i: usize| -> Option<Vec<f64>> {
-                feat_cols.iter().map(|c| c.value(i).as_f64()).collect()
-            };
-            let mut donors: Vec<(Vec<f64>, f64)> = Vec::new();
-            for i in 0..table.num_rows() {
-                let v = table.value(i, column)?;
-                if let (Some(x), Some(p)) = (v.as_f64(), coords(i)) {
-                    donors.push((p, x));
-                }
-            }
-            let mut out = table.clone();
-            for i in 0..table.num_rows() {
-                if !table.value(i, column)?.is_null() {
-                    continue;
-                }
-                let Some(p) = coords(i) else { continue };
-                if donors.is_empty() {
-                    continue;
-                }
-                let mut dists: Vec<(f64, f64)> = donors
-                    .iter()
-                    .map(|(q, x)| {
-                        let d: f64 = p.iter().zip(q).map(|(a, b)| (a - b).powi(2)).sum();
-                        (d, *x)
-                    })
-                    .collect();
-                dists.sort_by(|a, b| a.0.total_cmp(&b.0));
-                let kk = (*k).min(dists.len());
-                let avg = dists[..kk].iter().map(|(_, x)| x).sum::<f64>() / kk as f64;
-                out.set_value(i, column, Value::Float(avg))?;
-            }
-            Ok(out)
-        }
+        ImputeStrategy::HotDeckKnn { features, k } => hot_deck(table, column, features, *k)?,
         ImputeStrategy::Regression { predictor } => {
             let pcol = table.column(predictor)?;
             let tcol = table.column(column)?;
             // fit OLS on complete (predictor, target) pairs
-            let mut xs = Vec::new();
-            let mut ys = Vec::new();
-            for i in 0..table.num_rows() {
-                if let (Some(x), Some(y)) = (pcol.value(i).as_f64(), tcol.value(i).as_f64()) {
-                    xs.push(x);
-                    ys.push(y);
-                }
-            }
+            let (xs, ys): (Vec<f64>, Vec<f64>) = pcol
+                .iter_f64()
+                .zip(tcol.iter_f64())
+                .filter_map(|(x, y)| x.zip(y))
+                .unzip();
             let fallback = table.mean(column)?.unwrap_or(0.0);
             let fit = if xs.len() >= 2 {
                 let n = xs.len() as f64;
@@ -137,30 +96,112 @@ pub fn impute(table: &Table, column: &str, strategy: &ImputeStrategy) -> rdi_tab
             } else {
                 None
             };
-            let mut out = table.clone();
-            for i in 0..table.num_rows() {
-                if !table.value(i, column)?.is_null() {
-                    continue;
-                }
-                let v = match (fit, pcol.value(i).as_f64()) {
+            fill_nulls(table, column, |i| {
+                Ok(Some(match (fit, pcol.value(i).as_f64()) {
                     (Some((a, b)), Some(x)) => a + b * x,
                     _ => fallback,
-                };
-                out.set_value(i, column, Value::Float(v))?;
-            }
-            Ok(out)
+                }))
+            })?
         }
-    }
+    };
+    rdi_obs::counter("cleaning.cells_imputed").add(filled);
+    Ok(out)
 }
 
-fn fill_nulls(table: &Table, column: &str, f: impl Fn(usize) -> Value) -> rdi_table::Result<Table> {
-    let mut out = table.clone();
-    for i in 0..table.num_rows() {
-        if table.value(i, column)?.is_null() {
-            out.set_value(i, column, f(i))?;
+/// The [`ImputeStrategy::HotDeckKnn`] arm. Per missing row it evaluates
+/// every donor's distance and selects the `k` nearest in linear time,
+/// sorting only those `k`. Selection and sort share one total key
+/// (distance in [`f64::total_cmp`] order, then donor row order), so the
+/// neighbours and the order they are summed in match a stable sort of
+/// all donors by distance.
+fn hot_deck(
+    table: &Table,
+    column: &str,
+    features: &[String],
+    k: usize,
+) -> rdi_table::Result<(Table, u64)> {
+    if k == 0 {
+        return Err(TableError::SchemaMismatch(
+            "hot-deck imputation needs k ≥ 1 neighbours".into(),
+        ));
+    }
+    let feat_cols = features
+        .iter()
+        .map(|f| table.column(f))
+        .collect::<rdi_table::Result<Vec<_>>>()?;
+    let target = table.column(column)?;
+    let (n, d) = (table.num_rows(), features.len());
+    // Row-major coordinates of every row; `complete[i]` is false when a
+    // feature of row `i` is null or non-numeric.
+    let mut coords = vec![0.0; n * d];
+    let mut complete = vec![true; n];
+    for (f, col) in feat_cols.iter().enumerate() {
+        for (i, x) in col.iter_f64().enumerate() {
+            match x {
+                Some(x) => coords[i * d + f] = x,
+                None => complete[i] = false,
+            }
         }
     }
+    let mut donor_coords = Vec::new();
+    let mut donor_targets = Vec::new();
+    for (i, y) in target.iter_f64().enumerate() {
+        if let (Some(y), true) = (y, complete[i]) {
+            donor_coords.extend_from_slice(&coords[i * d..(i + 1) * d]);
+            donor_targets.push(y);
+        }
+    }
+    let m = donor_targets.len();
+    let kk = k.min(m);
+    let mut scratch: Vec<(i64, usize)> = Vec::with_capacity(m);
+    let mut distances = 0u64;
+    let out = fill_nulls(table, column, |i| {
+        if m == 0 || !complete[i] {
+            return Ok(None);
+        }
+        let p = &coords[i * d..(i + 1) * d];
+        scratch.clear();
+        scratch.extend((0..m).map(|j| {
+            let q = &donor_coords[j * d..(j + 1) * d];
+            let dist: f64 = p.iter().zip(q).map(|(a, b)| (a - b).powi(2)).sum();
+            (total_order_key(dist), j)
+        }));
+        distances += m as u64;
+        scratch.select_nth_unstable(kk - 1);
+        let head = &mut scratch[..kk];
+        head.sort_unstable();
+        let sum = head.iter().map(|&(_, j)| donor_targets[j]).sum::<f64>();
+        Ok(Some(sum / kk as f64))
+    })?;
+    rdi_obs::counter("cleaning.knn_distances").add(distances);
     Ok(out)
+}
+
+/// An integer that orders like `x` under [`f64::total_cmp`] (the same
+/// bit transform, done once per distance instead of per comparison).
+fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Fill each null cell of `column` with `fill(row)`, leaving it null
+/// where `fill` yields `None`; returns the new table and the number of
+/// cells filled.
+fn fill_nulls(
+    table: &Table,
+    column: &str,
+    mut fill: impl FnMut(usize) -> rdi_table::Result<Option<f64>>,
+) -> rdi_table::Result<(Table, u64)> {
+    let target = table.column(column)?;
+    let mut out = table.clone();
+    let mut filled = 0;
+    for i in (0..table.num_rows()).filter(|&i| target.is_null(i)) {
+        if let Some(v) = fill(i)? {
+            out.set_value(i, column, Value::Float(v))?;
+            filled += 1;
+        }
+    }
+    Ok((out, filled))
 }
 
 #[cfg(test)]
@@ -248,6 +289,121 @@ mod tests {
         .unwrap();
         // row 2 neighbors: rows 0 (x=1) and 1 (x=3) → 2.0
         assert_eq!(out.value(2, "x").unwrap().as_f64().unwrap(), 2.0);
+    }
+
+    #[test]
+    fn hotdeck_rejects_zero_k() {
+        let strat = ImputeStrategy::HotDeckKnn {
+            features: vec!["aux".into()],
+            k: 0,
+        };
+        let err = impute(&t(), "x", &strat).unwrap_err();
+        assert!(matches!(err, TableError::SchemaMismatch(_)), "{err}");
+    }
+
+    #[test]
+    fn total_order_key_orders_like_total_cmp() {
+        let xs = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            2.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    /// Brute-force hot-deck reference: read every cell as a dynamic
+    /// value, stable-sort all donors by distance, average the first `k`.
+    fn hot_deck_reference(t: &Table, column: &str, features: &[String], k: usize) -> Vec<Value> {
+        let point = |i: usize| -> Option<Vec<f64>> {
+            features
+                .iter()
+                .map(|f| t.value(i, f).unwrap().as_f64())
+                .collect()
+        };
+        let donors: Vec<(Vec<f64>, f64)> = (0..t.num_rows())
+            .filter_map(|i| Some((point(i)?, t.value(i, column).unwrap().as_f64()?)))
+            .collect();
+        (0..t.num_rows())
+            .map(|i| {
+                let v = t.value(i, column).unwrap();
+                let Some(p) = point(i).filter(|_| v.is_null() && !donors.is_empty()) else {
+                    return v;
+                };
+                let mut dists: Vec<(f64, f64)> = donors
+                    .iter()
+                    .map(|(q, y)| (p.iter().zip(q).map(|(a, b)| (a - b).powi(2)).sum(), *y))
+                    .collect();
+                dists.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let kk = k.min(dists.len());
+                Value::Float(dists[..kk].iter().map(|(_, y)| y).sum::<f64>() / kk as f64)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The selection-based hot-deck fills every cell bit for bit as
+        /// the brute-force reference does, on inputs built to stress it:
+        /// few distinct coordinates (ties), `k` from 1 to past the donor
+        /// count, tables with no donors, null features, `Int`/`Bool`
+        /// features, zero to two features, and `Str` targets.
+        #[test]
+        fn hotdeck_matches_brute_force_reference(
+            rows in proptest::collection::vec(((0u8..4, -50.0f64..50.0), (0u8..5, 0u8..5)), 0..14),
+            kinds in (0u8..3, 0u8..3),
+            str_target in proptest::bool::ANY,
+            nfeat in 0usize..3,
+            k in 1usize..16,
+        ) {
+            // feature kind 0 = Float, 1 = Int, 2 = Bool; raw cell 0 = null,
+            // 1..5 = one of four values
+            let kind = |c: u8| [DataType::Float, DataType::Int, DataType::Bool][c as usize];
+            let cell = |c: u8, raw: u8| match (c, raw) {
+                (_, 0) => Value::Null,
+                (0, r) => Value::Float(f64::from(r) * 0.5),
+                (1, r) => Value::Int(i64::from(r) - 2),
+                (_, r) => Value::Bool(r % 2 == 0),
+            };
+            let schema = Schema::new(vec![
+                Field::new("y", if str_target { DataType::Str } else { DataType::Float }),
+                Field::new("f0", kind(kinds.0)),
+                Field::new("f1", kind(kinds.1)),
+            ]);
+            let mut t = Table::new(schema);
+            for &((present, y), (a, b)) in &rows {
+                let y = match (present, str_target) {
+                    (0, _) => Value::Null,
+                    (_, true) => Value::str(format!("s{present}")),
+                    (_, false) => Value::Float(y),
+                };
+                t.push_row(vec![y, cell(kinds.0, a), cell(kinds.1, b)]).unwrap();
+            }
+            let features: Vec<String> = ["f0", "f1"][..nfeat].iter().map(|f| f.to_string()).collect();
+            let expect = hot_deck_reference(&t, "y", &features, k);
+            let out = impute(&t, "y", &ImputeStrategy::HotDeckKnn { features, k }).unwrap();
+            for (i, want) in expect.iter().enumerate() {
+                let got = out.value(i, "y").unwrap();
+                match (&got, want) {
+                    (Value::Float(g), Value::Float(w)) => {
+                        proptest::prop_assert_eq!(g.to_bits(), w.to_bits(), "row {}", i)
+                    }
+                    _ => proptest::prop_assert_eq!(&got, want, "row {}", i),
+                }
+            }
+        }
     }
 
     #[test]

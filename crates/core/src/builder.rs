@@ -206,7 +206,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rdi_datagen::{skewed_sources, PopulationSpec, SourceConfig};
-    use rdi_table::{GroupKey, GroupSpec, Value};
+    use rdi_table::{GroupKey, GroupSpec, TableError, Value};
     use rdi_tailor::{RatioColl, TableSource};
 
     fn scenario(seed: u64) -> (DtProblem, Vec<TableSource>, RatioColl, StdRng) {
@@ -318,6 +318,27 @@ mod tests {
         assert_eq!(built.pipeline().imputations.len(), 1);
         assert_eq!(built.pipeline().spec.scope_notes, vec!["note".to_string()]);
         assert_eq!(built.resilience(), &ResilienceConfig::default());
+    }
+
+    /// A hot-deck with `k = 0` is a typed error from the run, not a
+    /// panic inside the imputation stage.
+    #[test]
+    fn zero_k_hot_deck_fails_the_run() {
+        let (problem, mut sources, mut policy, mut rng) = scenario(5);
+        let result = PipelineBuilder::new(problem)
+            .impute(
+                "x1",
+                ImputeStrategy::HotDeckKnn {
+                    features: vec!["x2".into()],
+                    k: 0,
+                },
+            )
+            .build()
+            .run(&mut sources, &mut policy, &mut rng);
+        assert!(matches!(
+            result,
+            Err(PipelineError::Table(TableError::SchemaMismatch(_)))
+        ));
     }
 
     #[test]

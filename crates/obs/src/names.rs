@@ -1,12 +1,13 @@
-//! The metric-name registry for the serving, actor, fault, and policy
-//! layers.
+//! The metric-name registry for the serving, actor, cleaning, fault,
+//! and policy layers.
 //!
-//! Every `serve.*`, `actor.*`, `fault.*`, or `policy.*` counter/gauge/
-//! histogram/span name updated anywhere in the workspace must appear
-//! here exactly once — rdi-lint's R12 metrics-consistency rule cross-checks this
-//! list against the call sites, the CI expect-lists, and the checked-in
-//! goldens, so a silent rename (the drift byte-replay CI cannot see
-//! until the golden churns) fails the lint gate instead.
+//! Every `serve.*`, `actor.*`, `cleaning.*`, `fault.*`, or `policy.*`
+//! counter/gauge/histogram/span name updated anywhere in the workspace
+//! must appear here exactly once — rdi-lint's R12 metrics-consistency
+//! rule cross-checks this list against the call sites, the CI
+//! expect-lists, and the checked-in goldens, so a silent rename (the
+//! drift byte-replay CI cannot see until the golden churns) fails the
+//! lint gate instead.
 //!
 //! Names with a `{…}` segment are **patterns** for families constructed
 //! with `format!` at runtime (one entry covers the whole family).
@@ -22,6 +23,8 @@ pub const METRIC_NAMES: &[&str] = &[
     "actor.mailbox_depth",
     "actor.messages_delivered",
     "actor.scheduler_steps",
+    "cleaning.cells_imputed",
+    "cleaning.knn_distances",
     "fault.breaker.closed",
     "fault.breaker.failures",
     "fault.breaker.opened",

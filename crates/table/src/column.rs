@@ -94,6 +94,20 @@ impl Column {
         }
     }
 
+    /// True iff the cell at row `i` is null; borrows, unlike
+    /// [`Column::value`], so no string cell is cloned.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of bounds.
+    pub fn is_null(&self, i: usize) -> bool {
+        match self {
+            Column::Int(v) => v[i].is_none(),
+            Column::Float(v) => v[i].is_none(),
+            Column::Str(v) => v[i].is_none(),
+            Column::Bool(v) => v[i].is_none(),
+        }
+    }
+
     /// Push a dynamic value, checking its type against the column type.
     ///
     /// `Int` values are accepted into `Float` columns (widening); float
@@ -227,6 +241,7 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.value(0), Value::Int(5));
         assert!(c.value(1).is_null());
+        assert!(!c.is_null(0) && c.is_null(1));
         assert_eq!(c.null_count(), 1);
     }
 
