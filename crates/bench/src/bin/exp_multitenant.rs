@@ -21,9 +21,6 @@
 //!   `QueueFull`, the quota tenant only `QuotaExceeded`, the poisoner
 //!   `QueueFull` before its breaker trips and `CircuitOpen` after, and
 //!   sheds never feed any breaker.
-//! * **Path parity** — the actor-hosted session replays the entire
-//!   adversarial stream bitwise identical to the serial session, with
-//!   the same per-tenant breaker end states.
 //!
 //! Single-threaded by default (`RDI_THREADS=1` unless overridden) so
 //! stdout is byte-stable for the golden replay in CI; the root
@@ -31,7 +28,6 @@
 
 use std::collections::BTreeMap;
 
-use rdi_actor::{Runtime, RuntimeConfig};
 use rdi_bench::{emit_metrics_snapshot, print_table};
 use rdi_datagen::tenants::{
     tenant_workload, TenantBehavior, TenantSpec, TenantWorkload, TenantWorkloadConfig,
@@ -39,9 +35,8 @@ use rdi_datagen::tenants::{
 use rdi_datagen::SessionOp;
 use rdi_fault::RecoveryState;
 use rdi_serve::{
-    AdmitConfig, BatchReport, LakeActorGroup, LakeIndex, LakeIndexConfig, ServeError, ServeRequest,
-    ServeResponse, ServeSession, SessionActor, SessionConfig, SessionMsg, TaggedRequest, TenantId,
-    TenantPolicy,
+    AdmitConfig, BatchReport, LakeIndex, LakeIndexConfig, ServeError, ServeRequest, ServeResponse,
+    ServeSession, SessionConfig, TaggedRequest, TenantId, TenantPolicy,
 };
 
 const SEED: u64 = 2208;
@@ -347,9 +342,8 @@ fn run_serial(
 }
 
 /// Scenario 2 — bounded blast radius: victims are bitwise unaffected
-/// by a flood, a poison stream, and a quota-capped neighbour; each
-/// adversary is shed strictly against its own contract; and the actor
-/// path replays the whole thing bitwise.
+/// by a flood, a poison stream, and a quota-capped neighbour; and each
+/// adversary is shed strictly against its own contract.
 fn isolation_scenario() {
     let specs = isolation_specs();
     let names = ["alice", "bob", "mallory", "petya", "quinn"];
@@ -447,57 +441,6 @@ fn isolation_scenario() {
         "isolation: victim responses with vs without adversaries",
         &["victim", "digest_with", "digest_without", "bitwise_equal"],
         &rows,
-    );
-
-    // Actor-path parity: the hosted session runs the same adversarial
-    // stream through the same shared admitter and must match the
-    // serial run bitwise — including every tenant's breaker end state.
-    let mut rt = Runtime::new(RuntimeConfig::default());
-    let group = LakeActorGroup::host(&mut rt, fresh_index(&adversarial));
-    let addr = group.spawn_session_with_admission(
-        &mut rt,
-        "tenants",
-        session_config(),
-        admit_config(&specs),
-    );
-    for batch in &windows {
-        addr.send(SessionMsg::SubmitTagged(batch.clone())).unwrap();
-    }
-    rt.run_until_idle();
-    let actor = rt.actor::<SessionActor>(addr.id()).unwrap();
-    assert_eq!(actor.completed().len(), reports.len());
-    for (got, want) in actor.completed().iter().zip(&reports) {
-        assert_eq!(got.admitted, want.admitted);
-        assert_eq!(got.shed, want.shed);
-        assert_eq!(got.responses, want.responses, "actor != serial");
-    }
-    for t in names {
-        assert_eq!(
-            actor.admitter().breaker_state(&TenantId::new(t)),
-            session.admitter().breaker_state(&TenantId::new(t)),
-            "{t}"
-        );
-    }
-    print_table(
-        "actor parity: hosted session vs serial session",
-        &[
-            "windows",
-            "responses_identical",
-            "petya_breaker_serial",
-            "petya_breaker_actor",
-        ],
-        &[vec![
-            reports.len().to_string(),
-            "true".to_string(),
-            format!(
-                "{:?}",
-                session.admitter().breaker_state(&TenantId::new("petya"))
-            ),
-            format!(
-                "{:?}",
-                actor.admitter().breaker_state(&TenantId::new("petya"))
-            ),
-        ]],
     );
 }
 

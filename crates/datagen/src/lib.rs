@@ -18,9 +18,8 @@
 //!   tables and planted join-correlations (§3.1);
 //! * [`churn`] — seeded register/append/delete/drop streams for
 //!   lake-churn experiments (E20);
-//! * [`sessions`] — concurrent-session serving workloads with
-//!   per-session request streams independent of the session count
-//!   (E21);
+//! * [`sessions`] — serve-agnostic request ops ([`SessionOp`]) over a
+//!   seeded shared lake, the building blocks of [`tenants`];
 //! * [`tenants`] — adversarial multi-tenant serving workloads (honest
 //!   / flooding / poisoning tenants) with per-tenant request streams
 //!   independent of the roster (E22).
@@ -58,9 +57,7 @@ pub use lake::{LakeConfig, SyntheticLake};
 pub use missing::{inject_missing, Mechanism, MissingSpec};
 pub use population::{AttributeSpec, PopulationSpec};
 pub use rng::{dirichlet, gamma, normal, zipf_weights};
-pub use sessions::{
-    session_workload, SessionOp, SessionScript, SessionWorkload, SessionWorkloadConfig,
-};
+pub use sessions::{SessionOp, SessionWorkloadConfig};
 pub use sources::{skewed_sources, SourceConfig};
 pub use tenants::{
     tenant_workload, TenantBehavior, TenantSpec, TenantWorkload, TenantWorkloadConfig,

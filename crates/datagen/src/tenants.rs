@@ -11,9 +11,8 @@
 //! any other tenant's stream. [`tenant_workload`] guarantees that by
 //! giving each [`TenantSpec`] an explicit `stream` id and drawing
 //! tenant `t`'s ops from RNG stream `stream_seed(seed, 2000 + t)` —
-//! disjoint from the lake streams (`i + 1`) and session streams
-//! (`1000 + s`) used by [`crate::sessions`], and untouched by adding
-//! or removing neighbours.
+//! disjoint from the lake streams (`i + 1`) used by
+//! [`crate::sessions`], and untouched by adding or removing neighbours.
 //!
 //! Windows model admission ticks: each window interleaves every
 //! tenant's requests round-robin by position, so adversary traffic
@@ -176,13 +175,11 @@ fn tenant_ops(
     table_ids: &[String],
 ) -> Vec<Vec<SessionOp>> {
     let mut rng = StdRng::seed_from_u64(stream_seed(seed, 2000 + spec.stream));
-    // gen_op only reads the mix knobs, so a throwaway session config
-    // carries them; honest and flood traffic are both poison-free.
+    // Honest and flood traffic are both poison-free.
     let mix = SessionWorkloadConfig {
         key_pool: config.key_pool,
         top_k: config.top_k,
         poison_rate: 0.0,
-        ..SessionWorkloadConfig::default()
     };
     (0..config.windows)
         .map(|_| {
@@ -327,21 +324,5 @@ mod tests {
             );
             assert!(names[6..].iter().all(|n| *n == "mallory"));
         }
-    }
-
-    #[test]
-    fn lake_matches_the_session_generator() {
-        let cfg = TenantWorkloadConfig::default();
-        let w = tenant_workload(&cfg, 11);
-        let s = crate::sessions::session_workload(
-            &crate::sessions::SessionWorkloadConfig {
-                num_tables: cfg.num_tables,
-                rows_per_table: cfg.rows_per_table,
-                key_pool: cfg.key_pool,
-                ..Default::default()
-            },
-            11,
-        );
-        assert_eq!(format!("{:?}", w.tables), format!("{:?}", s.tables));
     }
 }

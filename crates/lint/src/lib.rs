@@ -27,7 +27,7 @@
 //! | R9 | `seed-purity` | algorithm crates | every RNG construction's seed must flow, via the body's def-use chains, from a parameter or `stream_seed(..)` |
 //! | R10 | `provenance-completeness` | decision-point registry + `.choose(` sites | registered functions emit a `ProvenanceEvent` or metrics update on every return path; every selection-policy `.choose(..)` call reaches a `PolicyDecision` emission |
 //! | R11 | `stale-suppression` | all scanned files | an `allow` directive whose rules no longer fire on its lines is itself a finding |
-//! | R12 | `metrics-consistency` | whole workspace | names asserted by CI/goldens are updated in source; every `serve.*`/`actor.*`/`cleaning.*`/`fault.*`/`policy.*` name updated is declared exactly once in `METRIC_NAMES` |
+//! | R12 | `metrics-consistency` | whole workspace | names asserted by CI/goldens are updated in source; every `serve.*`/`cleaning.*`/`fault.*`/`policy.*` name updated is declared exactly once in `METRIC_NAMES` |
 //!
 //! Algorithm crates are derived from the workspace manifests: every
 //! crate under `crates/` is policed **by default**, and opts out with an

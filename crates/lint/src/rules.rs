@@ -90,8 +90,8 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "R12",
         "metrics-consistency",
         "metric names asserted by CI expect-lists and goldens must be \
-         updated somewhere in source, and every serve./actor./cleaning./fault./\
-         policy. name updated must be declared exactly once in METRIC_NAMES",
+         updated somewhere in source, and every serve./cleaning./fault./policy. \
+         name updated must be declared exactly once in METRIC_NAMES",
     ),
 ];
 
@@ -106,7 +106,6 @@ const ALGO_CRATES: &[&str] = &[
     "tailor",
     "fairness",
     "cleaning",
-    "actor",
 ];
 
 /// The R10 decision-point registry: `(crate, qualified fn, what it

@@ -197,7 +197,7 @@ pub struct Asserted {
 }
 
 /// Prefixes covered by the declare-exactly-once registry policy.
-pub const REGISTRY_PREFIXES: &[&str] = &["serve.", "actor.", "cleaning.", "fault.", "policy."];
+pub const REGISTRY_PREFIXES: &[&str] = &["serve.", "cleaning.", "fault.", "policy."];
 
 /// Collect asserted metric names from the workspace's CI expect-lists
 /// and golden METRICS_SNAPSHOT lines. Missing files contribute nothing.

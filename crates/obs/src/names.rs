@@ -1,7 +1,7 @@
-//! The metric-name registry for the serving, actor, cleaning, fault,
-//! and policy layers.
+//! The metric-name registry for the serving, cleaning, fault, and
+//! policy layers.
 //!
-//! Every `serve.*`, `actor.*`, `cleaning.*`, `fault.*`, or `policy.*`
+//! Every `serve.*`, `cleaning.*`, `fault.*`, or `policy.*`
 //! counter/gauge/histogram/span name updated anywhere in the workspace
 //! must appear here exactly once — rdi-lint's R12 metrics-consistency
 //! rule cross-checks this list against the call sites, the CI
@@ -19,10 +19,6 @@
 /// All registered metric names, sorted; see the module docs for the
 /// registry policy.
 pub const METRIC_NAMES: &[&str] = &[
-    "actor.delivery_errors",
-    "actor.mailbox_depth",
-    "actor.messages_delivered",
-    "actor.scheduler_steps",
     "cleaning.cells_imputed",
     "cleaning.knn_distances",
     "fault.breaker.closed",

@@ -1,7 +1,5 @@
-//! Multi-tenant fairness-aware admission: the shared entry point both
-//! serving paths (the serial [`ServeSession`](crate::ServeSession) and
-//! the actor-hosted [`SessionActor`](crate::SessionActor)) run their
-//! admit phase through.
+//! Multi-tenant fairness-aware admission: the entry point
+//! [`ServeSession`](crate::ServeSession) runs its admit phase through.
 //!
 //! ## Model
 //!

@@ -54,17 +54,16 @@ use crate::request::{CoverageReport, ServeRequest, ServeResponse, TailorReport};
 const SHARD_SEED: u64 = 0x5348_4152_4421;
 
 /// Deterministic shard assignment: a pure function of the id bytes and
-/// the shard count, identical across processes and thread counts. Used
-/// both by [`LakeIndex::shard_of`] and by the actor hosting layer
-/// (`crate::actors`), which routes messages without owning an index.
-pub(crate) fn shard_route(id: &str, shard_count: usize) -> usize {
+/// the shard count, identical across processes and thread counts.
+fn shard_route(id: &str, shard_count: usize) -> usize {
     (hash_bytes(id.as_bytes(), SHARD_SEED) % shard_count.max(1) as u64) as usize
 }
 
 /// Sizing knobs for a [`LakeIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LakeIndexConfig {
-    /// MinHash signature length for union signatures and join profiles.
+    /// MinHash signature length for union signatures and join profiles
+    /// (≥ 1; [`LakeIndex::new`] treats 0 as 1).
     pub minhash_k: usize,
     /// Total sketch-cache capacity in accounted bytes, split across
     /// shards (remainder bytes go to the lowest-numbered shards).
@@ -89,26 +88,24 @@ impl Default for LakeIndexConfig {
 
 /// One registered table plus its maintained sketch state.
 #[derive(Debug)]
-pub(crate) struct Registered {
-    pub(crate) table: Arc<Table>,
+struct Registered {
+    table: Arc<Table>,
     /// Incrementally maintained content fingerprint.
-    pub(crate) fp: FpState,
-    pub(crate) cost: f64,
+    fp: FpState,
+    cost: f64,
     /// Lazily-populated maintained sketch state (see `maint`).
-    pub(crate) maint: Maintained,
+    maint: Maintained,
 }
 
 /// One shard: its slice of the table map and its slice of the cache
 /// byte budget.
 ///
-/// All per-shard operations live here so a shard can serve either
-/// inline inside a [`LakeIndex`] (the serial path) or hosted by its own
-/// `ShardActor` (`crate::actors`) — both paths run the *same* code, so
-/// answers are bitwise identical. Sizing knobs (`minhash_k`,
-/// `deletion_debt_threshold`) are passed per call: the shard itself
-/// stays config-free so it can move between hosts.
+/// All per-shard operations live here; the owning [`LakeIndex`] routes
+/// each table id to its shard. Sizing knobs (`minhash_k`,
+/// `deletion_debt_threshold`) are passed per call, so the index config
+/// stays the one place they are read from.
 #[derive(Debug)]
-pub(crate) struct Shard {
+struct Shard {
     tables: BTreeMap<String, Registered>,
     cache: SketchCache,
 }
@@ -121,24 +118,9 @@ impl Shard {
         }
     }
 
-    /// Registered-table count in this shard.
-    pub(crate) fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Registered ids in this shard, in sorted order.
-    pub(crate) fn ids(&self) -> impl Iterator<Item = &String> {
-        self.tables.keys()
-    }
-
-    /// A registered table's full record.
-    pub(crate) fn registered(&self, id: &str) -> Option<&Registered> {
-        self.tables.get(id)
-    }
-
     /// Register or replace a table (validation included); evicts
     /// stale-fingerprint cache entries for the id.
-    pub(crate) fn upsert(&mut self, id: String, table: Table, cost: f64) -> Result<(), ServeError> {
+    fn upsert(&mut self, id: String, table: Table, cost: f64) -> Result<(), ServeError> {
         if table.is_empty() {
             return Err(ServeError::EmptyTable(id));
         }
@@ -165,7 +147,7 @@ impl Shard {
 
     /// Apply a delta to a table registered in this shard (see
     /// [`LakeIndex::apply_delta`] for the maintenance contract).
-    pub(crate) fn apply_delta(
+    fn apply_delta(
         &mut self,
         id: &str,
         delta: &TableDelta,
@@ -266,11 +248,7 @@ impl Shard {
 
     /// Union signature for a registered table: cache hit, or derive
     /// from maintained state, or cold-build (which starts maintenance).
-    pub(crate) fn union_signature(
-        &mut self,
-        id: &str,
-        k: usize,
-    ) -> Result<Arc<TableSignature>, ServeError> {
+    fn union_signature(&mut self, id: &str, k: usize) -> Result<Arc<TableSignature>, ServeError> {
         let r = self
             .tables
             .get_mut(id)
@@ -296,7 +274,7 @@ impl Shard {
     /// Join profile for one column of a registered table: cache hit,
     /// or derive from maintained state, or cold-build (which starts
     /// maintenance). The column must exist — callers check first.
-    pub(crate) fn key_profile(
+    fn key_profile(
         &mut self,
         id: &str,
         column: &str,
@@ -331,7 +309,7 @@ impl Shard {
 
     /// Union signature for an ad-hoc query table, cached (without
     /// maintenance). Only the query-owner shard is asked.
-    pub(crate) fn query_union_signature(
+    fn query_union_signature(
         &mut self,
         fingerprint: u64,
         query: &Table,
@@ -352,7 +330,7 @@ impl Shard {
 
     /// Join profile for one column of an ad-hoc query table, cached
     /// (without maintenance). Only the query-owner shard is asked.
-    pub(crate) fn query_key_profile(
+    fn query_key_profile(
         &mut self,
         fingerprint: u64,
         query: &Table,
@@ -401,9 +379,13 @@ impl Default for LakeIndex {
 }
 
 impl LakeIndex {
-    /// An empty index with the given sizing. A `shard_count` of 0 is
-    /// treated as 1.
+    /// An empty index with the given sizing. A `shard_count` or a
+    /// `minhash_k` of 0 is treated as 1.
     pub fn new(config: LakeIndexConfig) -> Self {
+        let config = LakeIndexConfig {
+            minhash_k: config.minhash_k.max(1),
+            ..config
+        };
         let n = config.shard_count.max(1);
         let total = config.cache_capacity_bytes;
         let shards = (0..n)
@@ -413,31 +395,6 @@ impl LakeIndex {
             config,
             shards,
             policies: PolicySet::new(),
-            decisions: Vec::new(),
-        }
-    }
-
-    /// Disassemble into the configuration, the policy overrides, and
-    /// the owned shards, in shard order — the actor hosting layer
-    /// (`crate::actors`) moves each shard into its own `ShardActor`.
-    /// Drain decisions first; undrained audit records do not survive
-    /// disassembly.
-    pub(crate) fn into_shards(self) -> (LakeIndexConfig, PolicySet, Vec<Shard>) {
-        (self.config, self.policies, self.shards)
-    }
-
-    /// Reassemble an index from shards previously produced by
-    /// [`LakeIndex::into_shards`] (shard order must be preserved —
-    /// routing is positional).
-    pub(crate) fn from_shards(
-        config: LakeIndexConfig,
-        policies: PolicySet,
-        shards: Vec<Shard>,
-    ) -> Self {
-        LakeIndex {
-            config,
-            shards,
-            policies,
             decisions: Vec::new(),
         }
     }
@@ -820,10 +777,8 @@ impl LakeIndex {
     }
 }
 
-/// Reject query tables whose signature would be empty. Shared with the
-/// actor hosting layer (`crate::actors`), which runs the same check
-/// session-side before fanning a query out.
-pub(crate) fn check_query_shape(query: &Table) -> Result<(), ServeError> {
+/// Reject query tables whose signature would be empty.
+fn check_query_shape(query: &Table) -> Result<(), ServeError> {
     if query.num_columns() == 0 {
         return Err(ServeError::EmptyQuery("query table has no columns".into()));
     }

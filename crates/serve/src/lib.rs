@@ -57,7 +57,6 @@
 
 #![warn(missing_docs)]
 
-pub mod actors;
 pub mod admit;
 pub mod cache;
 pub mod error;
@@ -67,7 +66,6 @@ mod maint;
 pub mod request;
 pub mod session;
 
-pub use actors::{LakeActorGroup, MaintActor, MaintMsg, SessionActor, SessionMsg, ShardActor};
 pub use admit::{AdmitConfig, AdmitVerdict, Admitter, TaggedRequest, TenantId, TenantPolicy};
 pub use cache::{CacheKey, KeyProfile, Sketch, SketchCache, SketchKind};
 pub use error::ServeError;

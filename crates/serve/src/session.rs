@@ -297,6 +297,30 @@ mod tests {
         ServeSession::new(idx, SessionConfig::default())
     }
 
+    #[test]
+    fn zero_minhash_k_is_treated_as_one() {
+        let mut idx = LakeIndex::new(LakeIndexConfig {
+            minhash_k: 0,
+            ..LakeIndexConfig::default()
+        });
+        assert_eq!(idx.config().minhash_k, 1);
+        idx.register("abc", keyed(&["a", "b", "c"]), 1.0).unwrap();
+        idx.register("abx", keyed(&["a", "b", "x"]), 1.0).unwrap();
+        let mut s = ServeSession::new(idx, SessionConfig::default());
+        let query = || ServeRequest::UnionTopK {
+            query: keyed(&["a", "b", "c"]),
+            k: 2,
+        };
+        let report = s.submit_batch(&[query(), query()]);
+        assert_eq!(report.admitted, 2);
+        for r in &report.responses {
+            match r {
+                Ok(ServeResponse::UnionTopK(v)) => assert_eq!(v.len(), 2),
+                other => panic!("expected a union ranking, got {other:?}"),
+            }
+        }
+    }
+
     fn problem() -> DtProblem {
         DtProblem::exact_counts(
             GroupSpec::new(vec!["group"]),

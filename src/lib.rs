@@ -24,7 +24,6 @@
 //! | [`fairquery`] | `rdi-fairquery` | fairness-aware range queries (§5) |
 //! | [`core`] | `rdi-core` | the §2 requirements framework, audits, pipeline |
 //! | [`serve`] | `rdi-serve` | batched, cache-backed query serving over a lake index |
-//! | [`actor`] | `rdi-actor` | deterministic actor runtime (typed mailboxes, seeded virtual-time scheduler, replayable event log) |
 //! | [`obs`] | `rdi-obs` | metrics registry, span timers, typed provenance |
 //!
 //! For everyday use, `use responsible_data_integration::prelude::*;`
@@ -66,7 +65,6 @@ pub mod prelude {
 }
 
 pub use rdi_acquisition as acquisition;
-pub use rdi_actor as actor;
 pub use rdi_cleaning as cleaning;
 pub use rdi_core as core;
 pub use rdi_coverage as coverage;
