@@ -13,6 +13,25 @@ use crate::pattern::Pattern;
 use rdi_par::{par_map, Threads};
 use rdi_table::Table;
 
+/// Smallest lattice batch [`CoverageAnalyzer`] counts in parallel.
+///
+/// A two-thread split of `n` patterns beats a serial loop only once the
+/// counting it saves exceeds one thread-scope spawn and join. Measured
+/// on a 2-vCPU x86-64 VM (release build, medians of 200–3,000 calls):
+///
+/// - one two-thread `par_map` spawn and join on trivial work: 60–100 µs;
+/// - one pattern count: ~0.5 µs against a 120-cell counter (2,000 rows,
+///   4 attributes of 2–5 categories, the serving workload's probes),
+///   0.1–0.15 µs against a ~20-cell one;
+/// - two threads counted a batch only 1.1–1.25× faster than one, even
+///   at 4,096 patterns, so the serial loop stayed as fast up to
+///   ~1,500–2,000 patterns for both counters.
+///
+/// Smaller batches therefore run serially. That keeps every coverage
+/// probe of a serving batch and of the pipeline's label stage inside
+/// the caller's one parallel region (DESIGN.md, "Parallel grain").
+const PARALLEL_MIN_PATTERNS: usize = 2048;
+
 /// Coverage analyzer for a fixed table / attribute set / threshold.
 pub struct CoverageAnalyzer {
     counter: PatternCounter,
@@ -118,7 +137,9 @@ impl CoverageAnalyzer {
             .iter()
             .filter(|p| !memo.contains_key(*p) && seen.insert(*p))
             .collect();
-        let counts = par_map(threads.min_len(16), &fresh, |p| self.counter.count(p));
+        let counts = par_map(threads.min_len(PARALLEL_MIN_PATTERNS), &fresh, |p| {
+            self.counter.count(p)
+        });
         for (p, c) in fresh.iter().zip(counts) {
             stats.nodes_evaluated += 1;
             memo.insert((*p).clone(), c);
@@ -421,6 +442,39 @@ mod tests {
                 assert_eq!(dd, dd1, "tau={tau} threads={threads}");
                 assert_eq!(sdd, sdd1, "tau={tau} threads={threads}");
             }
+        }
+    }
+
+    /// Lattice levels wide enough to cross [`PARALLEL_MIN_PATTERNS`]
+    /// take the parallel path, with answers and stats unchanged.
+    #[test]
+    fn wide_levels_are_thread_invariant() {
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("b", DataType::Int),
+            Field::new("c", DataType::Int),
+        ]);
+        let mut t = Table::new(schema);
+        for r in 0..2_000i64 {
+            let k = r % 100; // at most 100 distinct cells
+            let row = vec![Value::Int(k % 48), Value::Int(k % 47), Value::Int(k % 7)];
+            t.push_row(row).unwrap();
+        }
+        let an = CoverageAnalyzer::new(&t, &["a", "b", "c"], 4).unwrap();
+        let cards = an.counter().cardinalities();
+        let level2: usize = Pattern::root(3)
+            .canonical_children(&cards)
+            .iter()
+            .map(|p| p.canonical_children(&cards).len())
+            .sum();
+        assert!(level2 >= PARALLEL_MIN_PATTERNS);
+        let serial = an.mups_pattern_breaker_with(Threads::fixed(1));
+        assert!(!serial.0.is_empty());
+        for threads in [2usize, 8] {
+            assert_eq!(
+                an.mups_pattern_breaker_with(Threads::fixed(threads)),
+                serial
+            );
         }
     }
 

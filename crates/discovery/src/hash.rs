@@ -4,7 +4,7 @@
 //! identically across tables and processes, so we use an explicit
 //! splitmix64-based construction rather than `std`'s randomized hasher.
 
-use rdi_table::Value;
+use rdi_table::{Value, ValueRef};
 
 /// splitmix64 finalizer — good avalanche, cheap, stable.
 pub fn splitmix64(mut x: u64) -> u64 {
@@ -24,19 +24,25 @@ pub fn hash_bytes(bytes: &[u8], seed: u64) -> u64 {
     splitmix64(h)
 }
 
-/// Hash a [`Value`] canonically: numerics through their `f64` bits (so
-/// `Int(2)` and `Float(2.0)` collide, consistent with `Value::eq`),
-/// strings through their bytes, nulls to a fixed tag.
+/// Hash a [`Value`] canonically; see [`hash_value_ref`], which this
+/// delegates to.
 pub fn hash_value(v: &Value, seed: u64) -> u64 {
+    hash_value_ref(v.as_ref(), seed)
+}
+
+/// Hash a borrowed cell canonically: numerics through their `f64` bits
+/// (so `Int(2)` and `Float(2.0)` collide, consistent with `Value::eq`),
+/// strings through their bytes, nulls to a fixed tag.
+pub fn hash_value_ref(v: ValueRef<'_>, seed: u64) -> u64 {
     match v {
-        Value::Null => splitmix64(seed ^ 0x6e75_6c6c),
-        Value::Int(i) => hash_bytes(&(*i as f64).to_bits().to_le_bytes(), seed),
-        Value::Float(f) => hash_bytes(&f.to_bits().to_le_bytes(), seed),
-        Value::Bool(b) => hash_bytes(
-            &(if *b { 1.0f64 } else { 0.0 }).to_bits().to_le_bytes(),
+        ValueRef::Null => splitmix64(seed ^ 0x6e75_6c6c),
+        ValueRef::Int(i) => hash_bytes(&(i as f64).to_bits().to_le_bytes(), seed),
+        ValueRef::Float(f) => hash_bytes(&f.to_bits().to_le_bytes(), seed),
+        ValueRef::Bool(b) => hash_bytes(
+            &(if b { 1.0f64 } else { 0.0 }).to_bits().to_le_bytes(),
             seed,
         ),
-        Value::Str(s) => hash_bytes(s.as_bytes(), seed),
+        ValueRef::Str(s) => hash_bytes(s.as_bytes(), seed),
     }
 }
 
@@ -66,6 +72,42 @@ mod tests {
             hash_value(&Value::str("2"), 3),
             hash_value(&Value::Int(2), 3)
         );
+    }
+
+    /// `hash_value` as it was before it delegated to `hash_value_ref`.
+    fn reference_hash_value(v: &Value, seed: u64) -> u64 {
+        match v {
+            Value::Null => splitmix64(seed ^ 0x6e75_6c6c),
+            Value::Int(i) => hash_bytes(&(*i as f64).to_bits().to_le_bytes(), seed),
+            Value::Float(f) => hash_bytes(&f.to_bits().to_le_bytes(), seed),
+            Value::Bool(b) => hash_bytes(
+                &(if *b { 1.0f64 } else { 0.0 }).to_bits().to_le_bytes(),
+                seed,
+            ),
+            Value::Str(s) => hash_bytes(s.as_bytes(), seed),
+        }
+    }
+
+    #[test]
+    fn borrowed_hash_is_bitwise_the_owned_hash() {
+        let values = [
+            Value::Null,
+            Value::Int(i64::MIN),
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Bool(true),
+            Value::str(""),
+            Value::str("日本"),
+        ];
+        for v in &values {
+            for seed in [0, 7, u64::MAX] {
+                let want = reference_hash_value(v, seed);
+                assert_eq!(hash_value(v, seed), want, "{v:?}");
+                assert_eq!(hash_value_ref(v.as_ref(), seed), want, "{v:?}");
+            }
+        }
     }
 
     #[test]

@@ -50,8 +50,7 @@ impl KeywordIndex {
         }
         for i in 0..table.num_rows().min(sample_rows) {
             for j in 0..table.num_columns() {
-                let v = table.column_at(j).value(i);
-                if let Some(s) = v.as_str() {
+                if let Some(s) = table.column_at(j).value_ref(i).as_str() {
                     tokens.extend(tokenize(s));
                 }
             }

@@ -13,10 +13,10 @@
 
 use std::collections::BTreeMap;
 
-use rdi_table::{Table, Value};
+use rdi_table::{Table, Value, ValueRef};
 use serde::{Deserialize, Serialize};
 
-use crate::hash::{hash_value, to_unit};
+use crate::hash::{hash_value, hash_value_ref, to_unit};
 
 /// Seed for the shared (coordinated) key-hash function.
 const KEY_SEED: u64 = 0x5eed_cafe;
@@ -51,16 +51,17 @@ impl KmvSketch {
         let pidx = payload.map(|p| table.schema().index_of(p)).transpose()?;
         // per key: (payload sum over numeric rows, numeric row count);
         // sorted map so the entries vec is built in key order (R1)
-        let mut agg: BTreeMap<Value, (f64, usize)> = BTreeMap::new();
+        // (keys borrowed from the column; only surviving keys are cloned)
+        let mut agg: BTreeMap<ValueRef<'_>, (f64, usize)> = BTreeMap::new();
         for i in 0..table.num_rows() {
-            let kv = table.column_at(kidx).value(i);
+            let kv = table.column_at(kidx).value_ref(i);
             if kv.is_null() {
                 continue;
             }
             let e = agg.entry(kv).or_insert((0.0, 0));
             match pidx {
                 Some(p) => {
-                    if let Some(v) = table.column_at(p).value(i).as_f64() {
+                    if let Some(v) = table.column_at(p).value_ref(i).as_f64() {
                         e.0 += v;
                         e.1 += 1;
                     }
@@ -68,21 +69,27 @@ impl KmvSketch {
                 None => e.1 += 1,
             }
         }
-        let mut entries: Vec<(f64, Value, f64)> = agg
+        let mut entries: Vec<(f64, ValueRef<'_>, f64)> = agg
             .into_iter()
             .filter_map(|(kv, (sum, n))| {
                 if n == 0 {
                     // payload requested but never numeric for this key
                     return None;
                 }
-                let u = to_unit(hash_value(&kv, KEY_SEED));
+                let u = to_unit(hash_value_ref(kv, KEY_SEED));
                 Some((u, kv, sum / n as f64))
             })
             .collect();
         entries.sort_by(|a, b| a.0.total_cmp(&b.0));
         entries.truncate(k);
         rdi_obs::counter("discovery.kmv_sketches_built").inc();
-        Ok(KmvSketch { k, entries })
+        Ok(KmvSketch {
+            k,
+            entries: entries
+                .into_iter()
+                .map(|(u, kv, mean)| (u, kv.to_value(), mean))
+                .collect(),
+        })
     }
 
     /// Number of retained keys (≤ k).
@@ -156,8 +163,8 @@ struct Tracked {
 
 /// Ordering of tracked entries: by hash, ties by key — identical to the
 /// cold build's stable sort over key-ascending aggregation order.
-fn entry_order(au: f64, ak: &Value, bu: f64, bk: &Value) -> std::cmp::Ordering {
-    au.total_cmp(&bu).then_with(|| ak.cmp(bk))
+fn entry_order(au: f64, ak: ValueRef<'_>, bu: f64, bk: ValueRef<'_>) -> std::cmp::Ordering {
+    au.total_cmp(&bu).then_with(|| ak.cmp(&bk))
 }
 
 /// A KMV/correlation sketch that absorbs appended rows **exactly** and
@@ -215,9 +222,9 @@ impl UpdatableKmv {
         assert!(k > 0);
         let kidx = table.schema().index_of(key)?;
         let pidx = payload.map(|p| table.schema().index_of(p)).transpose()?;
-        let mut agg: BTreeMap<Value, (f64, u64, u64)> = BTreeMap::new();
+        let mut agg: BTreeMap<ValueRef<'_>, (f64, u64, u64)> = BTreeMap::new();
         for i in 0..table.num_rows() {
-            let kv = table.column_at(kidx).value(i);
+            let kv = table.column_at(kidx).value_ref(i);
             if kv.is_null() {
                 continue;
             }
@@ -225,7 +232,7 @@ impl UpdatableKmv {
             e.2 += 1;
             match pidx {
                 Some(p) => {
-                    if let Some(v) = table.column_at(p).value(i).as_f64() {
+                    if let Some(v) = table.column_at(p).value_ref(i).as_f64() {
                         e.0 += v;
                         e.1 += 1;
                     }
@@ -233,25 +240,29 @@ impl UpdatableKmv {
                 None => e.1 += 1,
             }
         }
-        let mut entries: Vec<Tracked> = agg
+        let mut hashed: Vec<(f64, ValueRef<'_>, (f64, u64, u64))> = agg
             .into_iter()
-            .map(|(kv, (sum, n, m))| Tracked {
-                u: to_unit(hash_value(&kv, KEY_SEED)),
-                key: kv,
+            .map(|(kv, e)| (to_unit(hash_value_ref(kv, KEY_SEED)), kv, e))
+            .collect();
+        hashed.sort_by(|a, b| entry_order(a.0, a.1, b.0, b.1));
+        let cap = k + slack;
+        let mut truncated = false;
+        let mut horizon = f64::INFINITY;
+        if hashed.len() > cap {
+            truncated = true;
+            horizon = hashed[cap].0;
+            hashed.truncate(cap);
+        }
+        let entries: Vec<Tracked> = hashed
+            .into_iter()
+            .map(|(u, kv, (sum, n, m))| Tracked {
+                u,
+                key: kv.to_value(),
                 sum,
                 numeric_rows: n,
                 rows: m,
             })
             .collect();
-        entries.sort_by(|a, b| entry_order(a.u, &a.key, b.u, &b.key));
-        let cap = k + slack;
-        let mut truncated = false;
-        let mut horizon = f64::INFINITY;
-        if entries.len() > cap {
-            truncated = true;
-            horizon = entries[cap].u;
-            entries.truncate(cap);
-        }
         rdi_obs::counter("discovery.kmv_sketches_built").inc();
         Ok(UpdatableKmv {
             k,
@@ -276,7 +287,7 @@ impl UpdatableKmv {
         let u = to_unit(hash_value(key, KEY_SEED));
         match self
             .entries
-            .binary_search_by(|e| entry_order(e.u, &e.key, u, key))
+            .binary_search_by(|e| entry_order(e.u, e.key.as_ref(), u, key.as_ref()))
         {
             Ok(i) => {
                 let e = &mut self.entries[i];
@@ -335,7 +346,7 @@ impl UpdatableKmv {
         let u = to_unit(hash_value(key, KEY_SEED));
         if let Ok(i) = self
             .entries
-            .binary_search_by(|e| entry_order(e.u, &e.key, u, key))
+            .binary_search_by(|e| entry_order(e.u, e.key.as_ref(), u, key.as_ref()))
         {
             let e = &mut self.entries[i];
             e.rows = e.rows.saturating_sub(1);

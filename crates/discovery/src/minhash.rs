@@ -16,10 +16,10 @@
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
-use rdi_table::{Table, Value};
+use rdi_table::{Table, Value, ValueRef};
 use serde::{Deserialize, Serialize};
 
-use crate::hash::{hash_value, splitmix64};
+use crate::hash::{hash_value, hash_value_ref, splitmix64};
 
 /// Golden-gamma increment perturbing the base hash per position.
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -64,12 +64,17 @@ impl MinHash {
         I: IntoIterator,
         I::Item: Borrow<Value>,
     {
-        assert!(k > 0);
-        let mut m = MinHash {
-            sig: vec![u64::MAX; k],
-        };
+        let mut m = MinHash::empty(k);
         m.absorb_values(values);
         m
+    }
+
+    /// The signature of the empty set (every position `u64::MAX`).
+    fn empty(k: usize) -> Self {
+        assert!(k > 0);
+        MinHash {
+            sig: vec![u64::MAX; k],
+        }
     }
 
     /// Absorb additional set elements in place.
@@ -85,16 +90,20 @@ impl MinHash {
         I::Item: Borrow<Value>,
     {
         for v in values {
-            let v = v.borrow();
-            if v.is_null() {
-                continue;
-            }
-            let base = hash_value(v, 0);
-            for (j, s) in self.sig.iter_mut().enumerate() {
-                let h = position_hash(base, j);
-                if h < *s {
-                    *s = h;
-                }
+            self.absorb(v.borrow().as_ref());
+        }
+    }
+
+    /// Absorb one set element (nulls are skipped).
+    fn absorb(&mut self, v: ValueRef<'_>) {
+        if v.is_null() {
+            return;
+        }
+        let base = hash_value_ref(v, 0);
+        for (j, s) in self.sig.iter_mut().enumerate() {
+            let h = position_hash(base, j);
+            if h < *s {
+                *s = h;
             }
         }
     }
@@ -117,14 +126,15 @@ impl MinHash {
         }
     }
 
-    /// Build from the values of a table column, streaming them one at
-    /// a time (no intermediate `Vec<Value>`).
+    /// Build from the values of a table column, reading each cell in
+    /// place ([`rdi_table::Column::value_ref`]): no cell is cloned.
     pub fn from_column(table: &Table, column: &str, k: usize) -> rdi_table::Result<Self> {
         let col = table.column(column)?;
-        Ok(MinHash::from_values(
-            (0..table.num_rows()).map(|i| col.value(i)),
-            k,
-        ))
+        let mut m = MinHash::empty(k);
+        for i in 0..table.num_rows() {
+            m.absorb(col.value_ref(i));
+        }
+        Ok(m)
     }
 
     /// Estimated Jaccard similarity with another signature of equal `k`.

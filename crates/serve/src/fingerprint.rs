@@ -19,7 +19,7 @@
 //! to the maintained state's [`FpState::fingerprint`] — the invariant
 //! the whole incremental-maintenance layer keys off.
 
-use rdi_discovery::hash::{hash_bytes, hash_value, splitmix64};
+use rdi_discovery::hash::{hash_bytes, hash_value_ref, splitmix64};
 use rdi_table::Table;
 
 /// Seed domain for schema bytes, distinct from value hashing so a
@@ -80,7 +80,10 @@ impl FpState {
     fn row_hash(table: &Table, ri: usize) -> u64 {
         let mut h = ROW_SEED;
         for ci in 0..table.num_columns() {
-            h = fold(h, hash_value(&table.column_at(ci).value(ri), VALUE_SEED));
+            h = fold(
+                h,
+                hash_value_ref(table.column_at(ci).value_ref(ri), VALUE_SEED),
+            );
         }
         h
     }

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::TableError;
 use crate::schema::DataType;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use crate::Result;
 
 /// A single column of typed, nullable values.
@@ -86,11 +86,21 @@ impl Column {
     /// # Panics
     /// Panics if `i` is out of bounds.
     pub fn value(&self, i: usize) -> Value {
+        self.value_ref(i).to_value()
+    }
+
+    /// The value at row `i`, borrowed: unlike [`Column::value`], no
+    /// string cell is cloned.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of bounds.
+    #[inline]
+    pub fn value_ref(&self, i: usize) -> ValueRef<'_> {
         match self {
-            Column::Int(v) => v[i].map_or(Value::Null, Value::Int),
-            Column::Float(v) => v[i].map_or(Value::Null, Value::Float),
-            Column::Str(v) => v[i].clone().map_or(Value::Null, Value::Str),
-            Column::Bool(v) => v[i].map_or(Value::Null, Value::Bool),
+            Column::Int(v) => v[i].map_or(ValueRef::Null, ValueRef::Int),
+            Column::Float(v) => v[i].map_or(ValueRef::Null, ValueRef::Float),
+            Column::Str(v) => v[i].as_deref().map_or(ValueRef::Null, ValueRef::Str),
+            Column::Bool(v) => v[i].map_or(ValueRef::Null, ValueRef::Bool),
         }
     }
 

@@ -34,6 +34,16 @@ pub enum TableError {
     SchemaMismatch(String),
     /// CSV parsing failed.
     Csv(String),
+    /// A column has more distinct categories than a dense code can
+    /// index.
+    TooManyCategories {
+        /// The column being coded.
+        column: String,
+        /// Its number of categories (null counted as one).
+        categories: usize,
+        /// The largest supported number of categories.
+        max: usize,
+    },
 }
 
 impl fmt::Display for TableError {
@@ -59,6 +69,14 @@ impl fmt::Display for TableError {
             }
             TableError::SchemaMismatch(msg) => write!(f, "schema mismatch: {msg}"),
             TableError::Csv(msg) => write!(f, "csv error: {msg}"),
+            TableError::TooManyCategories {
+                column,
+                categories,
+                max,
+            } => write!(
+                f,
+                "column `{column}` has {categories} categories; at most {max} are supported"
+            ),
         }
     }
 }

@@ -53,7 +53,7 @@ pub use join::{hash_join, join_multiplicity, JoinSide};
 pub use predicate::Predicate;
 pub use schema::{DataType, Field, Role, Schema};
 pub use table::Table;
-pub use value::Value;
+pub use value::{Value, ValueRef};
 
 /// Convenient result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, TableError>;

@@ -258,16 +258,18 @@ impl Table {
             .collect()
     }
 
-    /// Distinct non-null values of a column, sorted.
+    /// Distinct non-null values of a column, sorted. Cells are sorted
+    /// and deduplicated as borrowed [`crate::ValueRef`]s; only the
+    /// distinct values are cloned.
     pub fn distinct(&self, name: &str) -> Result<Vec<Value>> {
         let col = self.column(name)?;
-        let mut vals: Vec<Value> = (0..self.num_rows)
-            .map(|i| col.value(i))
+        let mut vals: Vec<_> = (0..self.num_rows)
+            .map(|i| col.value_ref(i))
             .filter(|v| !v.is_null())
             .collect();
-        vals.sort();
+        vals.sort_unstable();
         vals.dedup();
-        Ok(vals)
+        Ok(vals.into_iter().map(|v| v.to_value()).collect())
     }
 
     /// Mean of a numeric column over non-null cells (None if no such cells).

@@ -37,13 +37,9 @@ impl Value {
     }
 
     /// Numeric view of the value, if it has one (`Int`, `Float`, `Bool`).
+    #[inline]
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-            _ => None,
-        }
+        self.as_ref().as_f64()
     }
 
     /// Integer view of the value, if it is an `Int`.
@@ -55,11 +51,9 @@ impl Value {
     }
 
     /// String view of the value, if it is a `Str`.
+    #[inline]
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
+        self.as_ref().as_str()
     }
 
     /// Boolean view of the value, if it is a `Bool`.
@@ -70,32 +64,23 @@ impl Value {
         }
     }
 
-    /// Total order over values used for sorting and range predicates.
-    ///
-    /// `Null` sorts first; numeric types compare by numeric value
-    /// (`Int(2) == Float(2.0)`); distinct type families order as
-    /// `Null < numeric/bool < Str`. Float `NaN` (only reachable if a caller
-    /// constructs one directly) sorts after all other floats.
+    /// Borrowed view of this value; no string is cloned.
+    #[inline]
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Bool(b) => ValueRef::Bool(*b),
+        }
+    }
+
+    /// Total order over values used for sorting and range predicates;
+    /// see [`ValueRef::total_cmp`], which this delegates to.
+    #[inline]
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        use Value::*;
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Null => 0,
-                Int(_) | Float(_) | Bool(_) => 1,
-                Str(_) => 2,
-            }
-        }
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Str(a), Str(b)) => a.cmp(b),
-            (a, b) if rank(a) == 1 && rank(b) == 1 => match (a.as_f64(), b.as_f64()) {
-                (Some(fa), Some(fb)) => fa.total_cmp(&fb),
-                // rank 1 ⇒ both numeric, so this arm is unreachable;
-                // fall back to rank order rather than panic.
-                _ => rank(a).cmp(&rank(b)),
-            },
-            (a, b) => rank(a).cmp(&rank(b)),
-        }
+        self.as_ref().total_cmp(&other.as_ref())
     }
 }
 
@@ -121,14 +106,129 @@ impl Ord for Value {
 
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_ref().hash(state);
+    }
+}
+
+/// A borrowed cell value: [`Value`] without ownership of string
+/// payloads, read straight out of a typed column by
+/// [`crate::Column::value_ref`].
+///
+/// Order, equality and hashing are exactly [`Value`]'s (`Value`
+/// delegates to this type), so code that sorts, dedups or groups cells
+/// can work on `ValueRef`s and clone only the values it keeps
+/// ([`ValueRef::to_value`]).
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    /// Missing value (SQL `NULL`).
+    Null,
+    /// 64-bit signed integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// Borrowed UTF-8 string.
+    Str(&'a str),
+    /// Boolean.
+    Bool(bool),
+}
+
+impl ValueRef<'_> {
+    /// True iff the value is [`ValueRef::Null`].
+    #[inline]
+    pub fn is_null(self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// Numeric view of the value, if it has one (`Int`, `Float`, `Bool`).
+    #[inline]
+    pub fn as_f64(self) -> Option<f64> {
         match self {
-            Value::Null => 0u8.hash(state),
+            ValueRef::Int(i) => Some(i as f64),
+            ValueRef::Float(f) => Some(f),
+            ValueRef::Bool(b) => Some(if b { 1.0 } else { 0.0 }),
+            _ => None,
+        }
+    }
+
+    /// The owned [`Value`] (clones a string payload).
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+            ValueRef::Bool(b) => Value::Bool(b),
+        }
+    }
+
+    /// Total order over values used for sorting and range predicates.
+    ///
+    /// `Null` sorts first; numeric types compare by numeric value
+    /// (`Int(2) == Float(2.0)`); distinct type families order as
+    /// `Null < numeric/bool < Str`. Float `NaN` (only reachable if a caller
+    /// constructs one directly) sorts after all other floats.
+    #[inline]
+    pub fn total_cmp(&self, other: &ValueRef<'_>) -> Ordering {
+        use ValueRef::*;
+        fn rank(v: &ValueRef<'_>) -> u8 {
+            match v {
+                Null => 0,
+                Int(_) | Float(_) | Bool(_) => 1,
+                Str(_) => 2,
+            }
+        }
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Str(a), Str(b)) => a.cmp(b),
+            (a, b) => match (a.as_f64(), b.as_f64()) {
+                (Some(fa), Some(fb)) => fa.total_cmp(&fb),
+                _ => rank(a).cmp(&rank(b)),
+            },
+        }
+    }
+}
+
+impl<'a> ValueRef<'a> {
+    /// String view of the value, if it is a `Str`.
+    #[inline]
+    pub fn as_str(self) -> Option<&'a str> {
+        match self {
+            ValueRef::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+impl PartialEq for ValueRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.total_cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ValueRef<'_> {}
+
+impl PartialOrd for ValueRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ValueRef<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.total_cmp(other)
+    }
+}
+
+impl std::hash::Hash for ValueRef<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        match self {
+            ValueRef::Null => 0u8.hash(state),
             // Hash numerics through their f64 bit pattern so that
             // Int(2), Float(2.0) and Bool(..) hash consistently with `eq`.
-            Value::Int(i) => (*i as f64).to_bits().hash(state),
-            Value::Float(f) => f.to_bits().hash(state),
-            Value::Bool(b) => (if *b { 1.0f64 } else { 0.0f64 }).to_bits().hash(state),
-            Value::Str(s) => {
+            ValueRef::Int(i) => (*i as f64).to_bits().hash(state),
+            ValueRef::Float(f) => f.to_bits().hash(state),
+            ValueRef::Bool(b) => (if *b { 1.0f64 } else { 0.0f64 }).to_bits().hash(state),
+            ValueRef::Str(s) => {
                 2u8.hash(state);
                 s.hash(state);
             }

@@ -13,8 +13,10 @@
 //!   `try_draw` never fails; fault behaviour is layered on by
 //!   `rdi-fault`'s `FaultySource` wrapper.
 
+use std::sync::Arc;
+
 use rand::{Rng, RngCore};
-use rdi_table::{Schema, Table, TableError, Value};
+use rdi_table::{Column, Schema, Table, TableError, Value};
 
 use crate::problem::DtProblem;
 
@@ -121,11 +123,13 @@ pub trait Source {
 ///
 /// Group membership of every row is precomputed against the problem's
 /// [`rdi_table::GroupSpec`]; rows in none of the target groups report
-/// `None`.
+/// `None`. The backing table is shared, not copied: sources built from
+/// one `Arc<Table>` (as a serving lake does per request) read it in
+/// place.
 #[derive(Debug, Clone)]
 pub struct TableSource {
     name: String,
-    table: Table,
+    table: Arc<Table>,
     cost: f64,
     /// Per-row target-group index (None = not a target group).
     row_group: Vec<Option<usize>>,
@@ -135,13 +139,21 @@ pub struct TableSource {
 }
 
 impl TableSource {
-    /// Wrap a table as a source with per-sample `cost`.
+    /// Wrap a table (owned or shared) as a source with per-sample
+    /// `cost`.
+    ///
+    /// Each row's group is found by comparing its cells, borrowed
+    /// through [`Column::value_ref`], with the problem's group keys
+    /// under [`Value`] equality: exactly the group
+    /// [`DtProblem::group_index`] assigns to the row's
+    /// [`rdi_table::GroupSpec::key_of`] key, without building one.
     pub fn new(
         name: impl Into<String>,
-        table: Table,
+        table: impl Into<Arc<Table>>,
         cost: f64,
         problem: &DtProblem,
     ) -> rdi_table::Result<Self> {
+        let table = table.into();
         if table.is_empty() {
             return Err(TableError::SchemaMismatch("empty source table".into()));
         }
@@ -151,16 +163,29 @@ impl TableSource {
                 "source cost must be positive".into(),
             ));
         }
-        let mut row_group = Vec::with_capacity(table.num_rows());
+        let cols: Vec<&Column> = problem
+            .spec
+            .attributes
+            .iter()
+            .map(|a| table.column(a))
+            .collect::<rdi_table::Result<_>>()?;
         let mut counts = vec![0usize; problem.num_groups()];
-        for i in 0..table.num_rows() {
-            let key = problem.spec.key_of(&table, i)?;
-            let g = problem.group_index(&key);
-            if let Some(g) = g {
-                counts[g] += 1;
-            }
-            row_group.push(g);
-        }
+        let row_group: Vec<Option<usize>> = (0..table.num_rows())
+            .map(|i| {
+                let g = problem.groups.iter().position(|key| {
+                    key.0.len() == cols.len()
+                        && key
+                            .0
+                            .iter()
+                            .zip(&cols)
+                            .all(|(v, c)| v.as_ref() == c.value_ref(i))
+                });
+                if let Some(g) = g {
+                    counts[g] += 1;
+                }
+                g
+            })
+            .collect();
         let n = table.num_rows() as f64;
         let frequencies = counts.iter().map(|&c| c as f64 / n).collect();
         Ok(TableSource {
@@ -289,6 +314,131 @@ mod tests {
         assert!(TableSource::new("s", table(&[]), 1.0, &p).is_err());
         assert!(TableSource::new("s", table(&["a"]), 0.0, &p).is_err());
         assert!(TableSource::new("s", table(&["a"]), -1.0, &p).is_err());
+    }
+
+    /// Group cells of every type, including null and cells equal
+    /// across types (`Bool(true) == Int(1) == Float(1.0)`) or not
+    /// (`Float(-0.0) != Int(0)`).
+    fn cell(dtype: DataType, pick: usize) -> Value {
+        let pool = match dtype {
+            DataType::Int => [Value::Int(0), Value::Int(1), Value::Int(2), Value::Null],
+            DataType::Float => [
+                Value::Float(0.0),
+                Value::Float(-0.0),
+                Value::Float(1.0),
+                Value::Null,
+            ],
+            DataType::Bool => [
+                Value::Bool(true),
+                Value::Bool(false),
+                Value::Null,
+                Value::Null,
+            ],
+            DataType::Str => [
+                Value::str(""),
+                Value::str("1"),
+                Value::str("é"),
+                Value::Null,
+            ],
+        };
+        pool[pick % pool.len()].clone()
+    }
+
+    const KEY_CELLS: [fn() -> Value; 8] = [
+        || Value::Null,
+        || Value::Bool(true),
+        || Value::Int(1),
+        || Value::Float(1.0),
+        || Value::Int(0),
+        || Value::Float(-0.0),
+        || Value::str(""),
+        || Value::str("1"),
+    ];
+
+    const DTYPES: [DataType; 4] = [
+        DataType::Int,
+        DataType::Float,
+        DataType::Bool,
+        DataType::Str,
+    ];
+
+    /// A table of 1–2 group columns of any type and a problem whose
+    /// 1–4 target keys mix types and nulls (some of the wrong length).
+    fn arb_case() -> impl Strategy<Value = (Table, DtProblem)> {
+        (1usize..=2, 1usize..40).prop_flat_map(|(d, n)| {
+            let types = prop::collection::vec(0usize..4, d);
+            let rows = prop::collection::vec(prop::collection::vec(0usize..4, d), n);
+            // (length pick, cells): pick 4 gives a key of the wrong length
+            let key = (0usize..5, prop::collection::vec(0usize..KEY_CELLS.len(), 3));
+            let keys = prop::collection::vec(key, 1..=4);
+            (types, rows, keys).prop_map(|(types, rows, keys)| {
+                let names: Vec<String> = (0..types.len()).map(|j| format!("g{j}")).collect();
+                let fields = names
+                    .iter()
+                    .zip(&types)
+                    .map(|(a, &t)| Field::new(a, DTYPES[t]))
+                    .collect();
+                let mut t = Table::new(Schema::new(fields));
+                for row in rows {
+                    let cells = row.iter().zip(&types).map(|(&p, &ty)| cell(DTYPES[ty], p));
+                    t.push_row(cells.collect()).unwrap();
+                }
+                let d = types.len();
+                let keys = keys
+                    .into_iter()
+                    .map(|(pick, cells)| {
+                        let len = if pick == 4 { d % 3 + 1 } else { d };
+                        let key = cells[..len].iter().map(|&c| KEY_CELLS[c]()).collect();
+                        (GroupKey(key), 1)
+                    })
+                    .collect();
+                (t, DtProblem::exact_counts(GroupSpec::new(names), keys))
+            })
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Borrowed-cell classification equals building each row's
+        /// `GroupKey` with `key_of` and looking it up with `group_index`.
+        #[test]
+        fn classification_matches_key_of_reference((t, p) in arb_case()) {
+            let want: Vec<Option<usize>> = (0..t.num_rows())
+                .map(|i| p.group_index(&p.spec.key_of(&t, i).unwrap()))
+                .collect();
+            let mut counts = vec![0usize; p.num_groups()];
+            for g in want.iter().flatten() {
+                counts[*g] += 1;
+            }
+            let freqs: Vec<u64> = counts
+                .iter()
+                .map(|&c| (c as f64 / t.num_rows() as f64).to_bits())
+                .collect();
+            let s = TableSource::new("s", t, 1.0, &p).unwrap();
+            prop_assert_eq!(&s.row_group, &want);
+            let got: Vec<u64> = s.frequencies().iter().map(|f| f.to_bits()).collect();
+            prop_assert_eq!(got, freqs);
+        }
+    }
+
+    #[test]
+    fn shared_table_is_not_copied() {
+        let t = std::sync::Arc::new(table(&["a", "b"]));
+        let s = TableSource::new("s", std::sync::Arc::clone(&t), 1.0, &problem()).unwrap();
+        assert!(std::sync::Arc::ptr_eq(&s.table, &t));
+        assert_eq!(std::sync::Arc::strong_count(&t), 2);
+    }
+
+    #[test]
+    fn unknown_group_column_rejected() {
+        let p = DtProblem::equal_over_values("nope", &["a"], 1);
+        assert_eq!(
+            TableSource::new("s", table(&["a"]), 1.0, &p).unwrap_err(),
+            TableError::UnknownColumn("nope".into())
+        );
     }
 
     #[test]
